@@ -243,9 +243,10 @@ func WithSparseThreshold(t float64) SessionOption {
 	return sessionOpt(func(c *config) { c.sparseThreshold = t })
 }
 
-// WithWireTransport forces the encoded data plane: every message is
-// encoded into O(log n)-bit words, copied through link queues, and decoded
-// at the receiver — the original simulator behaviour. By default sessions
+// WithWireTransport forces the encoded data plane: every message the
+// algorithms hand the routing layer is encoded into O(log n)-bit words,
+// copied through link queues, and decoded at the receiver, and the ledger
+// charges the words actually queued. By default sessions
 // use the direct transport, which hands algebra-typed data end-to-end and
 // charges the identical rounds and words analytically (see DESIGN.md
 // "Accounting plane vs data plane"); the reported Stats are bit-identical

@@ -107,12 +107,26 @@ type CSRProduct struct {
 // IsSparse reports whether the product stayed on the CSR plane.
 func (p CSRProduct) IsSparse() bool { return p.Sparse != nil }
 
-// csrPairSize validates a CSR operand pair's sizes against each other.
+// validate checks a caller's CSR operand against its own N — row
+// pointers, column range and order, value count — before padding could
+// hide an index in [N, padded N) or a short RowPtr could panic.
+func (m *CSR) validate() error {
+	if err := m.internal().Validate(); err != nil {
+		return fmt.Errorf("algclique: invalid CSR operand: %v: %w", err, ccmm.ErrSize)
+	}
+	return nil
+}
+
+// csrPairSize validates a CSR operand pair, each against its own N and
+// both sizes against each other.
 func csrPairSize(a, b *CSR) (int, error) {
 	if a.N != b.N {
 		return 0, fmt.Errorf("algclique: CSR operand sizes %d and %d differ: %w", a.N, b.N, ccmm.ErrSize)
 	}
-	return a.N, nil
+	if err := a.validate(); err != nil {
+		return 0, err
+	}
+	return a.N, b.validate()
 }
 
 // padCSRTo views a CSR operand on a padded clique of size n: the padding
@@ -267,6 +281,9 @@ func DistanceProductCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // dense ones densify through the planner (below the cap). A nil Val is
 // the natural encoding.
 func (s *Clique) SquareAdjacencyCSR(a *CSR, opts ...CallOption) (prod CSRProduct, stats Stats, err error) {
+	if err := a.validate(); err != nil {
+		return CSRProduct{}, Stats{}, err
+	}
 	r, err := s.begin("SquareAdjacencyCSR", a.N, ringSize, opts)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
@@ -402,6 +419,9 @@ func (s *Clique) APSPCSR(a *CSR, opts ...CallOption) (prod CSRProduct, stats Sta
 	if s.cfg.engine == Fast {
 		return CSRProduct{}, Stats{}, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
 	}
+	if err := a.validate(); err != nil {
+		return CSRProduct{}, Stats{}, err
+	}
 	r, err := s.begin("APSPCSR", a.N, anySize, opts)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
@@ -440,6 +460,9 @@ func APSPCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // — staying CSR across iterations until fill-in forces densification. A
 // sparse result is value-free; a dense one is a 0/1 matrix.
 func (s *Clique) TransitiveClosureCSR(a *CSR, opts ...CallOption) (prod CSRProduct, stats Stats, err error) {
+	if err := a.validate(); err != nil {
+		return CSRProduct{}, Stats{}, err
+	}
 	r, err := s.begin("TransitiveClosureCSR", a.N, ringSize, opts)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err

@@ -1,11 +1,13 @@
 package algclique_test
 
 import (
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 
 	"github.com/algebraic-clique/algclique"
+	"github.com/algebraic-clique/algclique/internal/ccmm"
 )
 
 // sparseMatFor draws an n×n integer matrix with roughly perRow nonzeros
@@ -285,5 +287,50 @@ func TestCSRAPISessionLedger(t *testing.T) {
 	b.N = n - 1
 	if _, _, err := s.MatMulCSR(a, &b); err == nil {
 		t.Fatal("operand pair size mismatch accepted")
+	}
+}
+
+// TestCSRAPIRejectsMalformedOperands: every CSR entry point validates its
+// operand against the caller's own N before padding, so a column index in
+// [N, padded N) and a RowPtr shorter than N+1 both come back as ErrSize —
+// never as a silently wrong product or a panic.
+func TestCSRAPIRejectsMalformedOperands(t *testing.T) {
+	const n = 4
+	ok := &algclique.CSR{N: n, RowPtr: []int64{0, 1, 1, 1, 1}, Col: []int32{1}}
+	bad := map[string]*algclique.CSR{
+		"column past N": {N: n, RowPtr: []int64{0, 1, 1, 1, 1}, Col: []int32{5}},
+		"short RowPtr":  {N: n, RowPtr: []int64{0, 1}, Col: []int32{1}},
+	}
+	entries := map[string]func(s *algclique.Clique, a *algclique.CSR) error{
+		"MatMulCSR": func(s *algclique.Clique, a *algclique.CSR) error {
+			_, _, err := s.MatMulCSR(a, ok)
+			return err
+		},
+		"SquareAdjacencyCSR": func(s *algclique.Clique, a *algclique.CSR) error {
+			_, _, err := s.SquareAdjacencyCSR(a)
+			return err
+		},
+		"APSPCSR": func(s *algclique.Clique, a *algclique.CSR) error {
+			_, _, err := s.APSPCSR(a)
+			return err
+		},
+		"TransitiveClosureCSR": func(s *algclique.Clique, a *algclique.CSR) error {
+			_, _, err := s.TransitiveClosureCSR(a)
+			return err
+		},
+	}
+	s, err := algclique.NewClique(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for entry, call := range entries {
+		for kind, a := range bad {
+			t.Run(entry+"/"+kind, func(t *testing.T) {
+				if err := call(s, a); !errors.Is(err, ccmm.ErrSize) {
+					t.Fatalf("err = %v, want ErrSize", err)
+				}
+			})
+		}
 	}
 }

@@ -1,23 +1,8 @@
 package ccmm
 
-// gatherCols fills buf[i] with row[cols[i]] for every in-range column and
-// the semiring zero for padding columns (index ≥ n). It is the gather step
-// in front of every bulk encode: the engines assemble a block row into a
-// scratch buffer and ship it through one EncodeSlice call, with no
-// per-element codec dispatch anywhere on the path.
-func gatherCols[T any](buf []T, row []T, cols []int, n int, zero T) {
-	for i, col := range cols {
-		if col < n {
-			buf[i] = row[col]
-		} else {
-			buf[i] = zero
-		}
-	}
-}
-
-// appendCols is gatherCols for the direct transport: it appends the
-// gathered block row onto a typed payload buffer, which then travels as-is
-// (no encode step) while its wire cost is charged from EncodedLen.
+// appendCols appends row[cols[i]] for every in-range column, and the
+// semiring zero for padding columns (index ≥ n), onto a typed message
+// buffer: the gather step in front of every block-row send.
 func appendCols[T any](dst []T, row []T, cols []int, n int, zero T) []T {
 	for _, col := range cols {
 		if col < n {

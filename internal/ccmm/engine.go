@@ -128,9 +128,9 @@ func mulBoolSemiring(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[in
 	return mulBoolVia(net, sc, s, t, func(sc *Scratch, sb, tb *RowMat[bool]) (*RowMat[bool], error) {
 		br := ring.Bool{}
 		if e == Engine3D {
-			return Semiring3DScratch[bool](net, sc, br, ring.PackedBool{}, sb, tb)
+			return Semiring3D[bool](net, sc, br, ring.PackedBool{}, sb, tb)
 		}
-		return NaiveGatherScratch[bool](net, sc, br, ring.PackedBool{}, sb, tb)
+		return NaiveGather[bool](net, sc, br, ring.PackedBool{}, sb, tb)
 	})
 }
 
@@ -139,7 +139,7 @@ func mulBoolSemiring(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[in
 // bit-packed values (ring.TupleCodec over ring.PackedBool).
 func mulBoolSparse(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return mulBoolVia(net, sc, s, t, func(sc *Scratch, sb, tb *RowMat[bool]) (*RowMat[bool], error) {
-		return SparseMulScratch[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
+		return SparseMul[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
 	})
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TestScratchTrimReleasesPools checks Trim drops every pooled structure a
-// product accumulated — word pools, typed arms, link tallies — and that
+// product accumulated — typed arms and sparse tables — and that
 // the scratch is fully usable (and correct) afterwards.
 func TestScratchTrimReleasesPools(t *testing.T) {
 	const n = 27
@@ -20,7 +20,7 @@ func TestScratchTrimReleasesPools(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, n))
 	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 	r := ring.Int64{}
-	first, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
+	first, err := Semiring3D[int64](net, sc, r, r, s, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,14 +28,11 @@ func TestScratchTrimReleasesPools(t *testing.T) {
 		t.Fatalf("sanity: product left no typed scratch state")
 	}
 	sc.Trim()
-	if len(sc.payload) != 0 || len(sc.views) != 0 {
-		t.Fatalf("Trim kept %d payload and %d view pool sizes", len(sc.payload), len(sc.views))
-	}
-	if sc.typed != nil || sc.offs != nil || sc.wloads != nil {
-		t.Fatalf("Trim kept typed arms or link tallies")
+	if sc.typed != nil || sc.sp != nil {
+		t.Fatalf("Trim kept typed arms or sparse tables")
 	}
 	net.Reset()
-	again, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
+	again, err := Semiring3D[int64](net, sc, r, r, s, u)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Rin
 		return nil, Route{}, err
 	}
 	if p.RingEngine == EngineSparse {
-		m, err := SparseMulScratch[T](net, sc, rg, codec, s, t)
+		m, err := SparseMul[T](net, sc, rg, codec, s, t)
 		return m, Route{Engine: EngineSparse}, err
 	}
 	if !p.censusApplies(net) {
@@ -134,7 +134,7 @@ func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Rin
 	return routeProduct[T](net, p, sc, rg, s, t, p.RingEngine,
 		p.predictDenseRounds(p.RingEngine, wd), ring.TupleCodec[T]{Val: bc}.EncodedLen(1),
 		func(sc *Scratch) (*RowMat[T], error) {
-			return SparseMulScratch[T](net, sc, rg, codec, s, t)
+			return SparseMul[T](net, sc, rg, codec, s, t)
 		},
 		func() (*RowMat[T], error) {
 			return mulRingConcrete[T](net, p, sc, rg, codec, s, t)
@@ -146,11 +146,11 @@ func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Rin
 func mulRingConcrete[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	switch p.RingEngine {
 	case EngineFast:
-		return FastBilinearScratch[T](net, sc, rg, codec, p.Scheme, s, t)
+		return FastBilinear[T](net, sc, rg, codec, p.Scheme, s, t)
 	case Engine3D:
-		return Semiring3DScratch[T](net, sc, rg, codec, s, t)
+		return Semiring3D[T](net, sc, rg, codec, s, t)
 	case EngineNaive:
-		return NaiveGatherScratch[T](net, sc, rg, codec, s, t)
+		return NaiveGather[T](net, sc, rg, codec, s, t)
 	default:
 		return nil, fmt.Errorf("ccmm: engine %v cannot multiply over a ring: %w", p.RingEngine, ErrSize)
 	}
@@ -281,7 +281,7 @@ func (p *Plan) MulMinPlusRouted(net *clique.Network, sc *Scratch, s, t *RowMat[i
 	}
 	mp := ring.MinPlus{}
 	if p.SemiringEngine == EngineSparse {
-		m, err := SparseMulScratch[int64](net, sc, mp, mp, s, t)
+		m, err := SparseMul[int64](net, sc, mp, mp, s, t)
 		return m, Route{Engine: EngineSparse}, err
 	}
 	dense := func() (*RowMat[int64], error) { return p.mulMinPlusDense(net, sc, s, t) }
@@ -301,7 +301,7 @@ func (p *Plan) MulMinPlusRouted(net *clique.Network, sc *Scratch, s, t *RowMat[i
 	return routeProduct[int64](net, p, sc, mp, s, t, p.SemiringEngine,
 		p.predictDenseRounds(p.SemiringEngine, wd), ring.TupleCodec[int64]{Val: bc}.EncodedLen(1),
 		func(sc *Scratch) (*RowMat[int64], error) {
-			return SparseMulScratch[int64](net, sc, mp, mp, s, t)
+			return SparseMul[int64](net, sc, mp, mp, s, t)
 		}, dense)
 }
 
@@ -310,9 +310,9 @@ func (p *Plan) mulMinPlusDense(net *clique.Network, sc *Scratch, s, t *RowMat[in
 	mp := ring.MinPlus{}
 	switch p.SemiringEngine {
 	case Engine3D:
-		return Semiring3DScratch[int64](net, sc, mp, mp, s, t)
+		return Semiring3D[int64](net, sc, mp, mp, s, t)
 	case EngineNaive:
-		return NaiveGatherScratch[int64](net, sc, mp, mp, s, t)
+		return NaiveGather[int64](net, sc, mp, mp, s, t)
 	default:
 		return nil, fmt.Errorf("ccmm: engine %v cannot compute a min-plus product: %w", p.SemiringEngine, ErrSize)
 	}

@@ -7,8 +7,9 @@ import (
 )
 
 // Scratch holds the reusable working state of the distributed
-// multiplication engines: message matrices, encoded-word payload buffers,
-// local block operands and products, and decode buffers. A session owns
+// multiplication engines: typed message and view matrices, per-node
+// buffers, local block operands and products, and the routing layer's
+// delivery pools. A session owns
 // one Scratch per clique size and passes it to every product, so repeated
 // multiplications — iterated squaring, Seidel's recursion, colour-coding's
 // 3^k products — run allocation-free in steady state. Engines accept a nil
@@ -22,20 +23,16 @@ import (
 //     entries are touched only by that node's ForEach worker.
 //   - Payload matrices hold message buffers owned by the scratch; entries
 //     are truncated (capacity kept) between uses and only ever appended
-//     into. View matrices hold borrowed slices — mailbox windows, local
-//     loopback payloads — and are nil-cleared between uses, never appended
-//     into.
+//     into. View matrices hold borrowed slices — delivered messages, rows
+//     of other scratch state — and are nil-cleared between uses, never
+//     appended into.
 //   - Engine inputs and outputs are never pooled: results returned to
 //     callers are freshly allocated, so nothing a caller retains aliases
 //     scratch state.
 type Scratch struct {
-	payload map[int][][][][]clique.Word // free payload matrices, by dimension
-	views   map[int][][][][]clique.Word // free view matrices, by dimension
-	offs    []int                       // per-link offsets for exchangeVirtual
-	wloads  []int64                     // per-link analytic word loads (direct transport)
-	rt      *routing.Scratch            // delivery-layer pools
-	typed   []any                       // one *typedScratch[T] per element type
-	sp      *sparseState                // sparse-engine census/tile tables
+	rt    *routing.Scratch // delivery-layer pools
+	typed []any            // one *typedScratch[T] per element type
+	sp    *sparseState     // sparse-engine census/tile tables
 }
 
 // sparseState pools the element-type-independent working set of the sparse
@@ -56,11 +53,7 @@ type sparseState struct {
 
 // NewScratch returns an empty scratch pool.
 func NewScratch() *Scratch {
-	return &Scratch{
-		payload: make(map[int][][][][]clique.Word),
-		views:   make(map[int][][][][]clique.Word),
-		rt:      routing.NewScratch(),
-	}
+	return &Scratch{rt: routing.NewScratch()}
 }
 
 // Trim releases every pooled buffer, matrix, and typed arm the scratch has
@@ -68,97 +61,9 @@ func NewScratch() *Scratch {
 // sessions call it — via Clique.Trim — to drop the working set of past
 // peak sizes instead of pinning it forever.
 func (sc *Scratch) Trim() {
-	clear(sc.payload)
-	clear(sc.views)
-	sc.offs = nil
-	sc.wloads = nil
 	sc.typed = nil
 	sc.sp = nil
 	sc.rt.Trim()
-}
-
-// getPayload returns a d×d message matrix whose entries are truncated to
-// length zero but keep their accumulated capacity. Callers build messages
-// with vmsgs[v][u] = append/EncodeSlice(vmsgs[v][u][:0], ...) and return
-// the matrix with putPayload once the traffic has been handed to the
-// network (which copies payloads into its queues).
-func (sc *Scratch) getPayload(d int) [][][]clique.Word {
-	free := sc.payload[d]
-	if k := len(free); k > 0 {
-		m := free[k-1]
-		sc.payload[d] = free[:k-1]
-		return m
-	}
-	m := make([][][]clique.Word, d)
-	for i := range m {
-		m[i] = make([][]clique.Word, d)
-	}
-	return m
-}
-
-// putPayload truncates every entry and returns the matrix to the pool.
-func (sc *Scratch) putPayload(m [][][]clique.Word) {
-	for _, row := range m {
-		for i := range row {
-			row[i] = row[i][:0]
-		}
-	}
-	d := len(m)
-	sc.payload[d] = append(sc.payload[d], m)
-}
-
-// getView returns a d×d matrix of nil slices for holding borrowed word
-// windows (mailbox slices, loopback payloads). View entries are assigned,
-// never appended into; putView drops the references.
-func (sc *Scratch) getView(d int) [][][]clique.Word {
-	free := sc.views[d]
-	if k := len(free); k > 0 {
-		m := free[k-1]
-		sc.views[d] = free[:k-1]
-		return m
-	}
-	m := make([][][]clique.Word, d)
-	for i := range m {
-		m[i] = make([][]clique.Word, d)
-	}
-	return m
-}
-
-// putView nil-clears every entry (releasing the borrowed slices) and
-// returns the matrix to the pool.
-func (sc *Scratch) putView(m [][][]clique.Word) {
-	for _, row := range m {
-		for i := range row {
-			row[i] = nil
-		}
-	}
-	d := len(m)
-	sc.views[d] = append(sc.views[d], m)
-}
-
-// linkOffs returns a zeroed length-k offset array.
-func (sc *Scratch) linkOffs(k int) []int {
-	if cap(sc.offs) < k {
-		sc.offs = make([]int, k)
-	}
-	o := sc.offs[:k]
-	for i := range o {
-		o[i] = 0
-	}
-	return o
-}
-
-// linkWords returns a zeroed length-k analytic word-load tally (the direct
-// transport's per-real-link accounting in the virtual exchange).
-func (sc *Scratch) linkWords(k int) []int64 {
-	if cap(sc.wloads) < k {
-		sc.wloads = make([]int64, k)
-	}
-	w := sc.wloads[:k]
-	for i := range w {
-		w[i] = 0
-	}
-	return w
 }
 
 // typedScratch is the element-typed arm of a Scratch: per-node buffers and
@@ -186,14 +91,11 @@ type typedScratch[T any] struct {
 	fullP        []*matrix.Dense[T]   // per node w: block product
 	acc, piece   []*matrix.Dense[T]   // per node: output accumulator and decode piece
 
-	// Naive engine state.
-	rows []([]T) // per-node decoded right-operand rows
-
 	// CSR engine state: per-node tables of borrowed windows into the
-	// arena buffers above (bufs/bufs2/bufs3). Window entries are
-	// reassigned every product, never appended into; the tables
-	// themselves keep their capacity.
-	slots  []([][]T) // per-node received combined-chunk windows
+	// arena buffers above (bufs/bufs2/bufs3) or into the operand itself.
+	// Window entries are reassigned every product, never appended into;
+	// the tables themselves keep their capacity.
+	slots  []([][]T) // per-node received combined-chunk windows; transposed value cells
 	slots2 []([][]T) // per-node forwarded A-part windows
 	slots3 []([][]T) // per-node outgoing gather-chunk windows
 
@@ -201,11 +103,10 @@ type typedScratch[T any] struct {
 	// packing).
 	mats []*RowMat[T]
 
-	// Direct-transport message state: typed payload matrices (entries are
-	// scratch-owned append buffers holding algebra values, the data-plane
-	// twin of Scratch.payload) and typed view matrices (entries borrow
-	// rows of other scratch state or delivered payloads, nil-cleared on
-	// return — the twin of Scratch.views).
+	// Message state: typed payload matrices (entries are scratch-owned
+	// append buffers holding algebra values) and typed view matrices
+	// (entries borrow rows of other scratch state or delivered messages,
+	// nil-cleared on return).
 	payFree  map[int][][][][]T
 	viewFree map[int][][][][]T
 }

@@ -49,11 +49,9 @@ import (
 // All traffic after the census is oblivious — chunk sizes and tile
 // placements are computable by every node from the broadcast counts — and
 // rides the routing layer's Auto strategy, so skewed loads fall back to
-// Lenzen-style two-phase delivery. The tuple streams travel through both
-// transport planes: the wire plane encodes them with ring.TupleCodec (one
-// chunk per ordered pair per phase), the direct plane hands typed
-// []ring.Tuple[T] slices end-to-end with the identical word cost charged
-// analytically from the same TupleCodec EncodedLen sums.
+// Lenzen-style two-phase delivery. The tuple streams are typed
+// []ring.Tuple[T] messages priced (and, on a wire network, encoded) by
+// ring.TupleCodec, one chunk per ordered pair per phase.
 
 // ErrTooDense reports that the operands fail the Σ ca(y)·rb(y) < 2n²
 // density bound of the sparse tile engine, so the Lemma 12 packing is not
@@ -70,13 +68,8 @@ const minSparseN = 8
 // tile engine — O((ρ_A·ρ_B)^{1/3}/n^{2/3} + 1) rounds on operands sparse
 // enough for the Lemma 12 packing (Σ ca(y)·rb(y) < 2n²), ErrTooDense
 // otherwise. Requires n ≥ 8; see the file comment for the phase structure.
-func SparseMul[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return SparseMulScratch[T](net, nil, sr, codec, s, t)
-}
-
-// SparseMulScratch is SparseMul with caller-owned scratch pools,
-// dispatched on the network's transport like every other engine.
-func SparseMulScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
+// A nil sc uses a transient scratch.
+func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
 	defer catchAbort(&err)
 	n := net.N()
 	if err := s.validate(n); err != nil {
@@ -88,19 +81,9 @@ func SparseMulScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[
 	if n < minSparseN {
 		return nil, fmt.Errorf("ccmm: sparse engine needs n ≥ %d for the Lemma 12 packing, got %d: %w", minSparseN, n, ErrSize)
 	}
-	switch net.Transport() {
-	case clique.TransportWire:
-		return sparseWire[T](net, sc, sr, codec, s, t)
-	case clique.TransportVerify:
-		return runVerified(net, func(net2 *clique.Network, wire bool) (*RowMat[T], error) {
-			if wire {
-				return sparseWire[T](net2, nil, sr, codec, s, t)
-			}
-			return sparseDirect[T](net2, sc, sr, codec, s, t)
-		})
-	default:
-		return sparseDirect[T](net, sc, sr, codec, s, t)
-	}
+	return verified(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		return sparseMul(net, sc, sr, codec, s, t)
+	})
 }
 
 // sparse returns the scratch's pooled sparse-engine tables.
@@ -235,69 +218,56 @@ func countRowNNZ[T any](net *clique.Network, sr ring.Semiring[T], zero T, m *Row
 	})
 }
 
-// sparseWire is the encoded plane: tuple streams travel as TupleCodec
-// chunks, one chunk per ordered pair per phase.
-func sparseWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+func sparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	n := net.N()
 	if sc == nil {
 		sc = NewScratch()
 	}
 	bc := ring.AsBulk[T](codec)
-	tc := ring.TupleCodec[T]{Val: bc}
+	tuples := routing.Tuples(ring.TupleCodec[T]{Val: bc})
 	ts := typedFrom[T](sc)
 	tts := typedFrom[ring.Tuple[T]](sc)
 	sp := sc.sparse()
 	zero := sr.Zero()
-	growBufs(&ts.bufs, n)
 	growBufs(&tts.bufs, n)
 	growBufs(&tts.bufs2, n)
-	growBufs(&tts.bufs3, n)
 	sp.ca = growInts(sp.ca, n)
 	sp.rb = growInts(sp.rb, n)
 
-	// Phase 1: transpose — ship each nonzero S[x][y] to column owner y.
-	// At most one value per ordered pair, so per-link loads never exceed
-	// the value width and direct per-link delivery is already optimal.
+	// Phase 1: transpose — each nonzero S[x][y] ships to column owner y as
+	// a one-element message. At most one value per ordered pair, so per-link
+	// loads never exceed the value width and direct per-link delivery is
+	// already optimal.
 	net.Phase("mmsparse/transpose")
 	countRowNNZ(net, sr, zero, t, sp.rb)
-	msgs := sc.getPayload(n)
+	tpay := ts.getPay(n)
 	net.ForEach(func(x int) {
-		vb := nodeBuf(ts.bufs, x, 1)
-		out := msgs[x]
+		row := tpay[x]
 		for y, v := range s.Rows[x] {
 			if !sr.Equal(v, zero) {
-				vb[0] = v
-				out[y] = bc.EncodeSlice(out[y][:0], vb)
+				row[y] = append(row[y][:0], v)
 			}
 		}
 	})
-	for x := 0; x < n; x++ {
-		for y, ws := range msgs[x] {
-			if len(ws) > 0 {
-				net.SendVec(x, y, ws)
-			}
-		}
-	}
-	mail := net.Flush()
+	tin := routing.ExchangePayload(net, routing.Direct, sc.rt, tpay, bc, ts.getViews(n))
 	net.ForEach(func(y int) {
 		var ca int
 		for x := 0; x < n; x++ {
-			if len(mail.From(y, x)) > 0 {
+			if len(tin[y][x]) > 0 {
 				ca++
 			}
 		}
 		aL := nodeBuf(tts.bufs, y, ca)[:0]
-		var one [1]T
 		for x := 0; x < n; x++ {
-			if ws := mail.From(y, x); len(ws) > 0 {
-				bc.DecodeSlice(one[:], ws)
-				aL = append(aL, ring.Tuple[T]{Idx: int32(x), Val: one[0]})
+			if v := tin[y][x]; len(v) > 0 {
+				aL = append(aL, ring.Tuple[T]{Idx: int32(x), Val: v[0]})
 			}
 		}
 		tts.bufs[y] = aL
 		sp.ca[y] = ca
 	})
-	sc.putPayload(msgs)
+	ts.putViews(tin)
+	ts.putPay(tpay)
 
 	// Phase 2: census + tile tables; the density bound is enforced here.
 	if err := sparseCensus(net, sp, n); err != nil {
@@ -307,282 +277,6 @@ func sparseWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	// Phase 3: spread — y ships its a(y)-chunks over A(y) and b(y)-chunks
 	// over B(y). A destination in both ranges receives one combined chunk,
 	// A-part first.
-	net.Phase("mmsparse/spread")
-	msgs = sc.getPayload(n)
-	net.ForEach(func(y int) {
-		tl := sp.tiles[y]
-		if !tl.Allocated {
-			return
-		}
-		aL := tts.bufs[y][:sp.ca[y]]
-		bL := nodeBuf(tts.bufs2, y, sp.rb[y])[:0]
-		for z, v := range t.Rows[y] {
-			if !sr.Equal(v, zero) {
-				bL = append(bL, ring.Tuple[T]{Idx: int32(z), Val: v})
-			}
-		}
-		tts.bufs2[y] = bL
-		vb := ts.bufs[y]
-		for i := 0; i < tl.F; i++ {
-			dst := tl.Row + i
-			lo, hi := chunkBounds(sp.ca[y], tl.F, i)
-			comp := tts.bufs3[y][:0]
-			comp = append(comp, aL[lo:hi]...)
-			if j := dst - tl.Col; j >= 0 && j < tl.F {
-				blo, bhi := chunkBounds(sp.rb[y], tl.F, j)
-				comp = append(comp, bL[blo:bhi]...)
-			}
-			tts.bufs3[y] = comp
-			if len(comp) > 0 {
-				msgs[y][dst], vb = tc.EncodeSlice(msgs[y][dst][:0], comp, vb)
-			}
-		}
-		for j := 0; j < tl.F; j++ {
-			dst := tl.Col + j
-			if i := dst - tl.Row; i >= 0 && i < tl.F {
-				continue // combined with the A-part above
-			}
-			blo, bhi := chunkBounds(sp.rb[y], tl.F, j)
-			if bhi > blo {
-				msgs[y][dst], vb = tc.EncodeSlice(msgs[y][dst][:0], bL[blo:bhi], vb)
-			}
-		}
-		ts.bufs[y] = vb
-	})
-	in := routing.ExchangeScratch(net, routing.Auto, sc.rt, msgs)
-
-	// Decode the received chunks: node p keeps its A-chunks (to forward)
-	// and B-chunks (for the gather) in one flat per-node buffer, windowed
-	// per tile through pooled view matrices.
-	viewsA := tts.getViews(n)
-	viewsB := tts.getViews(n)
-	net.ForEach(func(p int) {
-		total := 0
-		for _, y := range sp.rowYs[sp.rowOff[p]:sp.rowOff[p+1]] {
-			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
-			total += ka + kb
-		}
-		for _, y := range sp.colYs[sp.colOff[p]:sp.colOff[p+1]] {
-			tl := sp.tiles[y]
-			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue // counted with the combined chunk above
-			}
-			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
-			total += kb
-		}
-		flat := nodeBuf(tts.bufs, p, total)
-		vb := ts.bufs[p]
-		off := 0
-		decode := func(y int32, ka, kb int) {
-			k := ka + kb
-			if k == 0 {
-				return
-			}
-			out := flat[off : off+k]
-			vb = tc.DecodeSlice(out, in[p][y], vb)
-			if ka > 0 {
-				viewsA[p][y] = out[:ka]
-			}
-			if kb > 0 {
-				viewsB[p][y] = out[ka:]
-			}
-			off += k
-		}
-		for _, y := range sp.rowYs[sp.rowOff[p]:sp.rowOff[p+1]] {
-			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
-			decode(y, ka, kb)
-		}
-		for _, y := range sp.colYs[sp.colOff[p]:sp.colOff[p+1]] {
-			tl := sp.tiles[y]
-			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue
-			}
-			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
-			decode(y, 0, kb)
-		}
-		ts.bufs[p] = vb
-	})
-	sc.putPayload(msgs)
-
-	// Phase 4: forward — a ships each tile's a(y)-chunk to the tile's
-	// column nodes. Tiles are disjoint, so each ordered pair carries at
-	// most one chunk.
-	net.Phase("mmsparse/forward")
-	fmsgs := sc.getPayload(n)
-	net.ForEach(func(a int) {
-		vb := ts.bufs[a]
-		for _, y := range sp.rowYs[sp.rowOff[a]:sp.rowOff[a+1]] {
-			chunk := viewsA[a][y]
-			if len(chunk) == 0 {
-				continue
-			}
-			tl := sp.tiles[y]
-			for j := 0; j < tl.F; j++ {
-				b := tl.Col + j
-				fmsgs[a][b], vb = tc.EncodeSlice(fmsgs[a][b][:0], chunk, vb)
-			}
-		}
-		ts.bufs[a] = vb
-	})
-	fin := routing.ExchangeScratch(net, routing.Auto, sc.rt, fmsgs)
-
-	// Phase 5: gather — b reassembles a(y), forms the partial products
-	// against its b(y)-chunk, and routes each (z, value) to row owner x.
-	net.Phase("mmsparse/gather")
-	gpays := tts.getPay(n)
-	net.ForEach(func(b int) {
-		vb := ts.bufs[b]
-		out := gpays[b]
-		for _, y := range sp.colYs[sp.colOff[b]:sp.colOff[b+1]] {
-			bchunk := viewsB[b][y]
-			if len(bchunk) == 0 {
-				continue
-			}
-			tl := sp.tiles[y]
-			for a := tl.Row; a < tl.Row+tl.F; a++ {
-				lo, hi := chunkBounds(sp.ca[y], tl.F, a-tl.Row)
-				if hi == lo {
-					continue
-				}
-				ach := nodeBuf(tts.bufs2, b, hi-lo)
-				vb = tc.DecodeSlice(ach, fin[b][a], vb)
-				for _, at := range ach {
-					dst := out[at.Idx]
-					for _, bt := range bchunk {
-						dst = append(dst, ring.Tuple[T]{Idx: bt.Idx, Val: sr.Mul(at.Val, bt.Val)})
-					}
-					out[at.Idx] = dst
-				}
-			}
-		}
-		ts.bufs[b] = vb
-	})
-	tts.putViews(viewsA)
-	tts.putViews(viewsB)
-	sc.putPayload(fmsgs)
-	gmsgs := sc.getPayload(n)
-	net.ForEach(func(b int) {
-		vb := ts.bufs[b]
-		for x, tups := range gpays[b] {
-			if len(tups) > 0 {
-				gmsgs[b][x], vb = tc.EncodeSlice(gmsgs[b][x][:0], tups, vb)
-			}
-		}
-		ts.bufs[b] = vb
-	})
-	// The gather's receive pattern is data-dependent (which pairs carry
-	// products depends on the inputs), so this exchange goes through the
-	// dynamic variant: idle pairs must read as empty, never as a stale
-	// scratch window.
-	gin := routing.ExchangeDynamic(net, routing.Auto, sc.rt, gmsgs)
-	tts.putPay(gpays)
-	sc.putPayload(gmsgs)
-
-	// Phase 6: accumulate.
-	net.Phase("mmsparse/accumulate")
-	p := NewRowMat[T](n)
-	errs := make([]error, n)
-	net.ForEach(func(x int) {
-		row := p.Rows[x]
-		for j := range row {
-			row[j] = zero
-		}
-		vb := ts.bufs[x]
-		for b := 0; b < n; b++ {
-			ws := gin[x][b]
-			if len(ws) == 0 {
-				continue
-			}
-			k := tc.CountFor(len(ws))
-			if k < 0 {
-				errs[x] = fmt.Errorf("ccmm: malformed %d-word tuple chunk in sparse gather: %w", len(ws), ErrSize)
-				return
-			}
-			tups := nodeBuf(tts.bufs2, x, k)
-			vb = tc.DecodeSlice(tups, ws, vb)
-			for _, tp := range tups {
-				row[tp.Idx] = sr.Add(row[tp.Idx], tp.Val)
-			}
-		}
-		ts.bufs[x] = vb
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// sparseDirect is the data plane: the same phases with identical charging,
-// but the tuple streams travel as typed []ring.Tuple[T] payload slices by
-// reference, their wire cost charged analytically from TupleCodec
-// EncodedLen sums.
-func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	n := net.N()
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
-	tc := ring.TupleCodec[T]{Val: bc}
-	ts := typedFrom[T](sc)
-	tts := typedFrom[ring.Tuple[T]](sc)
-	sp := sc.sparse()
-	zero := sr.Zero()
-	growBufs(&tts.bufs, n)
-	growBufs(&tts.bufs2, n)
-	sp.ca = growInts(sp.ca, n)
-	sp.rb = growInts(sp.rb, n)
-	tupleWords := func(elems int) int64 { return int64(tc.EncodedLen(elems)) }
-
-	// Phase 1: transpose — each nonzero S[x][y] rides as a one-element
-	// payload window, charged EncodedLen(1) analytic words.
-	net.Phase("mmsparse/transpose")
-	countRowNNZ(net, sr, zero, t, sp.rb)
-	tpay := ts.getPay(n)
-	oneWords := int64(bc.EncodedLen(1))
-	net.ForEach(func(x int) {
-		row := tpay[x]
-		for y, v := range s.Rows[x] {
-			if !sr.Equal(v, zero) {
-				row[y] = append(row[y][:0], v)
-			}
-		}
-	})
-	// Payload enqueue is single-threaded, like the engines' exchange loops.
-	for x := 0; x < n; x++ {
-		row := tpay[x]
-		for y := range row {
-			if len(row[y]) > 0 {
-				net.SendPayload(x, y, oneWords, &row[y])
-			}
-		}
-	}
-	mail := net.Flush()
-	net.ForEach(func(y int) {
-		var ca int
-		for x := 0; x < n; x++ {
-			if len(mail.PayloadsFrom(y, x)) > 0 {
-				ca++
-			}
-		}
-		aL := nodeBuf(tts.bufs, y, ca)[:0]
-		for x := 0; x < n; x++ {
-			if ps := mail.PayloadsFrom(y, x); len(ps) > 0 {
-				aL = append(aL, ring.Tuple[T]{Idx: int32(x), Val: (*ps[0].(*[]T))[0]})
-			}
-		}
-		tts.bufs[y] = aL
-		sp.ca[y] = ca
-	})
-	ts.putPay(tpay)
-
-	// Phase 2: census + tile tables.
-	if err := sparseCensus(net, sp, n); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: spread.
 	net.Phase("mmsparse/spread")
 	pays := tts.getPay(n)
 	net.ForEach(func(y int) {
@@ -619,7 +313,7 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 			}
 		}
 	})
-	in := routing.ExchangePayload(net, routing.Auto, sc.rt, pays, tupleWords, tts.getViews(n))
+	in := routing.ExchangePayload(net, routing.Auto, sc.rt, pays, tuples, tts.getViews(n))
 
 	// Window the received combined chunks per tile (no copy: the views
 	// alias the senders' payload buffers, which stay alive until the pay
@@ -652,8 +346,10 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 		}
 	})
 
-	// Phase 4: forward — copy each tile chunk into a fresh payload buffer
-	// per destination (the spread views stay untouched and alive).
+	// Phase 4: forward — a ships each tile's a(y)-chunk to the tile's
+	// column nodes. Tiles are disjoint, so each ordered pair carries at most
+	// one chunk, copied into a fresh payload buffer per destination (the
+	// spread views stay untouched and alive).
 	net.Phase("mmsparse/forward")
 	fpays := tts.getPay(n)
 	net.ForEach(func(a int) {
@@ -669,9 +365,10 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 			}
 		}
 	})
-	fin := routing.ExchangePayload(net, routing.Auto, sc.rt, fpays, tupleWords, tts.getViews(n))
+	fin := routing.ExchangePayload(net, routing.Auto, sc.rt, fpays, tuples, tts.getViews(n))
 
-	// Phase 5: gather.
+	// Phase 5: gather — b forms the partial products of a(y) against its
+	// b(y)-chunk and routes each (z, value) to row owner x.
 	net.Phase("mmsparse/gather")
 	gpays := tts.getPay(n)
 	net.ForEach(func(b int) {
@@ -697,7 +394,7 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 			}
 		}
 	})
-	gin := routing.ExchangePayload(net, routing.Auto, sc.rt, gpays, tupleWords, tts.getViews(n))
+	gin := routing.ExchangePayload(net, routing.Auto, sc.rt, gpays, tuples, tts.getViews(n))
 
 	// Phase 6: accumulate. The gather receive pattern is data-dependent,
 	// but view-matrix entries are nil-cleared between uses, so idle pairs

@@ -26,7 +26,7 @@ func diffCSR[T any](t *testing.T, name string, n int, sr ring.Semiring[T], codec
 	t.Helper()
 	refNet := clique.New(n)
 	defer refNet.Close()
-	dense, err := ccmm.Semiring3D[T](refNet, sr, codec, s, tm)
+	dense, err := ccmm.Semiring3D[T](refNet, nil, sr, codec, s, tm)
 	if err != nil {
 		t.Fatalf("%s n=%d: dense reference: %v", name, n, err)
 	}
@@ -216,7 +216,7 @@ func TestCSRRoutedDensifyFallback(t *testing.T) {
 	}
 	ref := clique.New(n)
 	defer ref.Close()
-	dense, err := ccmm.Semiring3D[int64](ref, ring.Int64{}, ring.Int64{}, a, b)
+	dense, err := ccmm.Semiring3D[int64](ref, nil, ring.Int64{}, ring.Int64{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCSRRoutedDensifyFallback(t *testing.T) {
 	}
 	ref2 := clique.New(n)
 	defer ref2.Close()
-	want2, err := ccmm.Semiring3D[int64](ref2, ring.Int64{}, ring.Int64{}, dm, dm)
+	want2, err := ccmm.Semiring3D[int64](ref2, nil, ring.Int64{}, ring.Int64{}, dm, dm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestCSRRoutedBoolMinPlus(t *testing.T) {
 	}
 	ref2 := clique.New(n)
 	defer ref2.Close()
-	wantMP, err := ccmm.Semiring3D[int64](ref2, ring.MinPlus{}, ring.MinPlus{}, ma, mb)
+	wantMP, err := ccmm.Semiring3D[int64](ref2, nil, ring.MinPlus{}, ring.MinPlus{}, ma, mb)
 	if err != nil {
 		t.Fatal(err)
 	}

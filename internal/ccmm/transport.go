@@ -8,40 +8,49 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
-// The engines run on two transports sharing one ledger (see
-// internal/clique/payload.go): the wire plane encodes every message into
-// words and moves them through link queues; the direct plane hands
-// algebra-typed slices end-to-end and charges the words analytically from
-// the codec's EncodedLen. Each exported engine entry point dispatches on
-// the network's Transport; TransportVerify runs both and diffs results and
-// accounting, which is the executable proof that the planes agree.
+// Each engine is written once: it builds typed messages and hands them,
+// with their codec, to the routing layer's typed primitives
+// (routing.ExchangePayload, routing.ExchangeVirtual,
+// routing.AllGatherPayload, routing.Post). Whether those messages travel
+// by reference with their words charged from the codec (the direct plane)
+// or are encoded, routed as real words, and decoded (the wire plane) is a
+// property of the network, decided inside the routing layer. The one
+// transport decision left in this package is verified: under
+// TransportVerify it runs the product a second time on a wire shadow and
+// diffs the results and the ledgers, which is the executable proof that
+// the declared costs match the words the encodings actually occupy.
 
 // ErrTransportDiverged reports that the direct and wire transports
 // disagreed on a product's result or accounting under TransportVerify —
 // a simulator bug, never an input error.
 var ErrTransportDiverged = errors.New("ccmm: direct and wire transports diverged")
 
-// runVerified runs a product on both transports — direct on the caller's
-// network, wire on a fresh shadow clique of the same size — and returns
-// the direct result only if both the values and the charged
-// rounds/words/flushes/phases agree.
-func runVerified[T any](net *clique.Network, run func(net *clique.Network, wire bool) (*RowMat[T], error)) (*RowMat[T], error) {
+// verified runs one product. On a TransportVerify network it runs it on
+// net — the direct plane, with the caller's scratch — and again on a fresh
+// wire shadow clique of the same size with its own transient scratch, and
+// returns the first result only if both the results and the charged
+// rounds/words/flushes/phases agree. Every other network runs it once.
+func verified[R any](net *clique.Network, sc *Scratch, run func(net *clique.Network, sc *Scratch) (R, error)) (R, error) {
+	if net.Transport() != clique.TransportVerify {
+		return run(net, sc)
+	}
+	var none R
 	before := net.Stats()
-	p, err := run(net, false)
+	p, err := run(net, sc)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	shadow := clique.New(net.N(), clique.WithTransport(clique.TransportWire))
 	defer shadow.Close()
-	q, err := run(shadow, true)
+	q, err := run(shadow, nil)
 	if err != nil {
-		return nil, fmt.Errorf("ccmm: wire shadow run failed: %w", err)
+		return none, fmt.Errorf("ccmm: wire shadow run failed: %w", err)
 	}
 	if err := diffLedger(before, net.Stats(), shadow.Stats()); err != nil {
-		return nil, err
+		return none, err
 	}
-	if !reflect.DeepEqual(p.Rows, q.Rows) {
-		return nil, fmt.Errorf("%w: products differ", ErrTransportDiverged)
+	if !reflect.DeepEqual(p, q) {
+		return none, fmt.Errorf("%w: products differ", ErrTransportDiverged)
 	}
 	return p, nil
 }

@@ -9,10 +9,12 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
-// The differential tests are the tentpole's contract: for every shipped
-// algebra and engine, the direct (typed, zero-copy) transport must produce
-// bit-identical products AND a bit-identical ledger — rounds, words,
-// flushes, per-phase breakdown — to the encoded wire transport.
+// The differential tests are the transport contract: each engine has one
+// body, and the routing layer either moves its typed messages by
+// reference with their codec-declared word counts (direct) or encodes
+// them and charges the words actually queued (wire). For every shipped
+// algebra and engine the two must produce bit-identical products AND a
+// bit-identical ledger — rounds, words, flushes, per-phase breakdown.
 
 // mulOn runs one product on a fresh network with the given transport and
 // returns the product plus the full accounting snapshot.
@@ -106,10 +108,10 @@ var diffSizes = []int{2, 3, 5, 7, 8, 9, 13, 26, 27, 28, 36, 50, 64, 81, 100}
 func semiringEngines[T any](sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) map[string]func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 	return map[string]func(net *clique.Network, sc *Scratch) (*RowMat[T], error){
 		"naive": func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-			return NaiveGatherScratch[T](net, sc, sr, codec, s, t)
+			return NaiveGather[T](net, sc, sr, codec, s, t)
 		},
 		"3d": func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-			return Semiring3DScratch[T](net, sc, sr, codec, s, t)
+			return Semiring3D[T](net, sc, sr, codec, s, t)
 		},
 	}
 }
@@ -188,7 +190,7 @@ func TestTransportDifferentialFastBilinear(t *testing.T) {
 		s, u := randIntMat(rng, n, 20), randIntMat(rng, n, 20)
 		t.Run("int64", func(t *testing.T) {
 			diffTransports[int64](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-				return FastBilinearScratch[int64](net, sc, r, r, nil, s, u)
+				return FastBilinear[int64](net, sc, r, r, nil, s, u)
 			})
 		})
 		sz, uz := NewRowMat[int64](n), NewRowMat[int64](n)
@@ -200,7 +202,7 @@ func TestTransportDifferentialFastBilinear(t *testing.T) {
 		}
 		t.Run("zp", func(t *testing.T) {
 			diffTransports[int64](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-				return FastBilinearScratch[int64](net, sc, z, z, nil, sz, uz)
+				return FastBilinear[int64](net, sc, z, z, nil, sz, uz)
 			})
 		})
 	}
@@ -213,7 +215,7 @@ func TestTransportDifferentialWitnessProduct(t *testing.T) {
 		run := func(tr clique.Transport) (p, q *RowMat[int64], st clique.Stats) {
 			net := clique.New(n, clique.WithTransport(tr))
 			defer net.Close()
-			p, q, err := DistanceProduct3DScratch(net, NewScratch(), s, u)
+			p, q, err := DistanceProduct3D(net, NewScratch(), s, u)
 			if err != nil {
 				t.Fatalf("transport %v: %v", tr, err)
 			}
@@ -243,13 +245,13 @@ func TestTransportDifferentialLarge(t *testing.T) {
 	r := ring.Int64{}
 	t.Run("3d/int64", func(t *testing.T) {
 		diffTransports[int64](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3DScratch[int64](net, sc, r, r, s, u)
+			return Semiring3D[int64](net, sc, r, r, s, u)
 		})
 	})
 	sb, ub := randBoolMat(rng, n), randBoolMat(rng, n)
 	t.Run("3d/packedbool", func(t *testing.T) {
 		diffTransports[bool](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[bool], error) {
-			return Semiring3DScratch[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, ub)
+			return Semiring3D[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, ub)
 		})
 	})
 }
@@ -264,10 +266,10 @@ func TestTransportVerifyMode(t *testing.T) {
 		r := ring.Int64{}
 
 		direct, dstats := mulOn[int64](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3DScratch[int64](net, sc, r, r, s, u)
+			return Semiring3D[int64](net, sc, r, r, s, u)
 		})
 		verified, vstats := mulOn[int64](t, n, clique.TransportVerify, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3DScratch[int64](net, sc, r, r, s, u)
+			return Semiring3D[int64](net, sc, r, r, s, u)
 		})
 		if !reflect.DeepEqual(direct.Rows, verified.Rows) {
 			t.Fatalf("n=%d: verify-mode product differs from direct product", n)

@@ -14,9 +14,14 @@ import "fmt"
 // from the codec's EncodedLen, so a bit-packed Boolean row still costs
 // ⌈len/64⌉ words) and Flush folds it into the same per-link load maximum
 // that real queued words produce. Rounds, words, flushes, and phase
-// attribution are therefore bit-identical between the two planes — the
-// encoded ("wire") path stays available for verification and for protocols
-// whose payloads genuinely are word-structured.
+// attribution are therefore bit-identical between the two planes.
+//
+// The Transport a network carries decides which plane the algorithms'
+// messages take, but nothing here branches on it: algorithms hand typed
+// messages and their codec to the routing layer, whose typed primitives
+// read Transport and either send payloads (this file) or encode the
+// messages and send real words (Send/SendVec and Flush). One algorithm
+// body therefore runs on both planes.
 
 // Transport selects how the simulator moves algorithm data.
 type Transport int
@@ -28,11 +33,12 @@ const (
 	// skipped.
 	TransportDirect Transport = iota
 	// TransportWire materialises every message as encoded words moved
-	// through link queues — the original simulator behaviour.
+	// through link queues, and charges the words actually queued.
 	TransportWire
 	// TransportVerify runs every engine product on both planes (direct on
 	// this network, wire on a shadow clique) and fails if the results or
-	// the charged rounds/words/flushes/phases differ.
+	// the charged rounds/words/flushes/phases differ. Everything outside
+	// the engine products runs on the direct plane.
 	TransportVerify
 )
 

@@ -7,6 +7,7 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/ring"
+	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
 // Oracle computes a distance product of distributed matrices; the witness
@@ -74,7 +75,7 @@ func FindWitnesses(net *clique.Network, oracle Oracle, s, t, p *ccmm.RowMat[int6
 	}
 	// Column view of T, used by every verification round (one round).
 	net.Phase("witness/transpose")
-	tcol := transposeExchange(net, t)
+	tcol := routing.Transpose(net, t.Rows, ring.Int64{})
 
 	full := make([]bool, n)
 	for i := range full {
@@ -85,7 +86,8 @@ func FindWitnesses(net *clique.Network, oracle Oracle, s, t, p *ccmm.RowMat[int6
 		if err != nil {
 			return err
 		}
-		return verifyAndMerge(net, s, p, tcol, cand, q, resolved)
+		verifyAndMerge(net, s, p, tcol, cand, q, resolved)
+		return nil
 	}
 	// Unique-witness pass over the full column set.
 	if err := tryProbe(full); err != nil {
@@ -210,163 +212,57 @@ func maskRows(t *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
 	return out
 }
 
-// transposeExchange gives node v the column T[·][v]: each node sends one
-// word per link — one round. On the direct transport the round is charged
-// analytically and each node reads its column in place.
-func transposeExchange(net *clique.Network, t *ccmm.RowMat[int64]) [][]int64 {
-	n := net.N()
-	col := make([][]int64, n)
-	if net.Transport() != clique.TransportWire {
-		net.FlushAnalytic(uniformAllToAll(n))
-		net.ForEach(func(v int) {
-			col[v] = make([]int64, n)
-			for w := 0; w < n; w++ {
-				col[v][w] = t.Rows[w][v]
-			}
-		})
-		return col
-	}
-	for w := 0; w < n; w++ {
-		row := t.Rows[w]
-		for v := 0; v < n; v++ {
-			net.Send(w, v, clique.Word(row[v]))
-		}
-	}
-	mail := net.Flush()
-	for v := 0; v < n; v++ {
-		col[v] = make([]int64, n)
-		for w := 0; w < n; w++ {
-			col[v][w] = int64(mail.From(v, w)[0])
-		}
-	}
-	return col
-}
-
 // verifyAndMerge checks candidates in-network and records certified
 // witnesses. Node u ships (w, S[u][w], P[u][v]) to v — three words per
 // link; v, holding column v of T, confirms S[u][w] + T[w][v] = P[u][v] and
-// answers with one bit. On the direct transport the probe and reply
-// rounds are charged analytically and the verifier reads the three values
-// in place — same verdicts, same ledger, no words materialised.
-func verifyAndMerge(net *clique.Network, s, p *ccmm.RowMat[int64], tcol [][]int64, cand, q *ccmm.RowMat[int64], resolved [][]bool) error {
-	if net.Transport() != clique.TransportWire {
-		return verifyAndMergeDirect(net, s, p, tcol, cand, q, resolved)
-	}
+// answers with one bit.
+func verifyAndMerge(net *clique.Network, s, p *ccmm.RowMat[int64], tcol [][]int64, cand, q *ccmm.RowMat[int64], resolved [][]bool) {
 	n := net.N()
 	net.Phase("witness/verify")
-	type probe struct{ u, v int }
-	asked := make([][]probe, n) // indexed by verifier v
+	probes, cells := msgMatrix(n), make([]int64, 3*n*n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			w := cand.Rows[u][v]
 			if resolved[u][v] || w < 0 || w >= int64(n) {
 				continue
 			}
-			net.Send(u, v, clique.Word(w))
-			net.Send(u, v, clique.Word(s.Rows[u][w]))
-			net.Send(u, v, clique.Word(p.Rows[u][v]))
-			asked[v] = append(asked[v], probe{u: u, v: v})
+			probe := cells[3*(u*n+v) : 3*(u*n+v)+3]
+			probe[0], probe[1], probe[2] = w, s.Rows[u][w], p.Rows[u][v]
+			probes[u][v] = probe
 		}
 	}
-	mail := net.Flush()
-	verdicts := make([][]bool, n)
+	asked := routing.ExchangePayload(net, routing.Direct, nil, probes, ring.Int64{}, msgMatrix(n))
+	replies, bits := msgMatrix(n), make([]int64, n*n)
 	net.ForEach(func(v int) {
-		verdicts[v] = make([]bool, n)
-		mail.Each(v, func(src int, words []clique.Word) {
-			w := int64(words[0])
-			sval := int64(words[1])
-			pval := int64(words[2])
-			tval := tcol[v][w]
-			if !ring.IsInf(sval) && !ring.IsInf(tval) && sval+tval == pval {
-				verdicts[v][src] = true
-			}
-		})
-	})
-	// One-bit replies.
-	for v := 0; v < n; v++ {
-		for _, pr := range asked[v] {
-			var bit clique.Word
-			if verdicts[v][pr.u] {
-				bit = 1
-			}
-			net.Send(v, pr.u, bit)
-		}
-	}
-	reply := net.Flush()
-	for u := 0; u < n; u++ {
-		reply.Each(u, func(src int, words []clique.Word) {
-			if words[0] == 1 {
-				q.Rows[u][src] = cand.Rows[u][src]
-				resolved[u][src] = true
-			}
-		})
-	}
-	return nil
-}
-
-// uniformAllToAll is the analytic load of a one-word-per-ordered-pair
-// round: max link load 1 (0 on a single node, where only the free
-// self-link exists) and n·(n−1) words.
-func uniformAllToAll(n int) (maxLoad, total int64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	return 1, int64(n) * int64(n-1)
-}
-
-// verifyAndMergeDirect is verifyAndMerge on the data plane: the same two
-// charged exchanges (three probe words out, one verdict bit back, per
-// unresolved candidate pair), with the verifier evaluating
-// S[u][w] + T[w][v] = P[u][v] against the shared state directly.
-func verifyAndMergeDirect(net *clique.Network, s, p *ccmm.RowMat[int64], tcol [][]int64, cand, q *ccmm.RowMat[int64], resolved [][]bool) error {
-	n := net.N()
-	net.Phase("witness/verify")
-	probed := func(u, v int) bool {
-		w := cand.Rows[u][v]
-		return !resolved[u][v] && w >= 0 && w < int64(n)
-	}
-	var asked int64 // probed pairs on non-self links
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if u != v && probed(u, v) {
-				asked++
-			}
-		}
-	}
-	var maxProbe int64
-	if asked > 0 {
-		maxProbe = 3
-	}
-	net.FlushAnalytic(maxProbe, 3*asked)
-	verdicts := make([][]bool, n)
-	net.ForEach(func(v int) {
-		verdicts[v] = make([]bool, n)
-		for u := 0; u < n; u++ {
-			if !probed(u, v) {
+		for u, pr := range asked[v] {
+			if pr == nil {
 				continue
 			}
-			w := cand.Rows[u][v]
-			sval, tval := s.Rows[u][w], tcol[v][w]
-			if !ring.IsInf(sval) && !ring.IsInf(tval) && sval+tval == p.Rows[u][v] {
-				verdicts[v][u] = true
+			sval, tval := pr[1], tcol[v][pr[0]]
+			if !ring.IsInf(sval) && !ring.IsInf(tval) && sval+tval == pr[2] {
+				bits[v*n+u] = 1
 			}
+			replies[v][u] = bits[v*n+u : v*n+u+1]
 		}
 	})
-	// One-bit replies.
-	var maxReply int64
-	if asked > 0 {
-		maxReply = 1
-	}
-	net.FlushAnalytic(maxReply, asked)
+	verdicts := routing.ExchangePayload(net, routing.Direct, nil, replies, ring.Int64{}, msgMatrix(n))
 	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if probed(u, v) && verdicts[v][u] {
+		for v, bit := range verdicts[u] {
+			if len(bit) > 0 && bit[0] == 1 {
 				q.Rows[u][v] = cand.Rows[u][v]
 				resolved[u][v] = true
 			}
 		}
 	}
-	return nil
+}
+
+// msgMatrix returns an empty n×n per-pair message matrix.
+func msgMatrix(n int) [][][]int64 {
+	m := make([][][]int64, n)
+	for i := range m {
+		m[i] = make([][]int64, n)
+	}
+	return m
 }
 
 // allResolved agrees globally (one broadcast round) on whether every pair

@@ -15,6 +15,7 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/graphs"
+	"github.com/algebraic-clique/algclique/internal/ring"
 	"github.com/algebraic-clique/algclique/internal/routing"
 	"github.com/algebraic-clique/algclique/internal/subgraph"
 )
@@ -89,39 +90,24 @@ func Undirected(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, opts O
 }
 
 // gatherGirth ships the whole graph to every node (Dolev et al. style) and
-// computes the girth locally; used by the sparse branch of Theorem 15. On
-// the direct transport the gather is charged analytically — one word per
-// v < u edge, exactly what the encoded path ships — and the girth is
-// computed on the shared graph in place.
+// computes the girth locally; used by the sparse branch of Theorem 15.
+// Every node contributes its v < u edges, one word each.
 func gatherGirth(net *clique.Network, g *graphs.Graph) (int, bool, error) {
 	net.Phase("girth/gather")
 	n := net.N()
-	if net.Transport() != clique.TransportWire {
-		lens := make([]int64, n)
-		for v := 0; v < n; v++ {
-			for _, u := range g.Neighbors(v) {
-				if u > v {
-					lens[v]++
-				}
-			}
-		}
-		routing.ChargeAllGather(net, lens)
-		girth, ok := graphs.GirthRef(g)
-		return girth, ok, nil
-	}
-	vecs := make([][]clique.Word, n)
+	lists := make([][]int64, n)
 	for v := 0; v < n; v++ {
 		for _, u := range g.Neighbors(v) {
 			if u > v {
-				vecs[v] = append(vecs[v], clique.Word(u))
+				lists[v] = append(lists[v], int64(u))
 			}
 		}
 	}
-	all := routing.AllGather(net, vecs)
+	all := routing.AllGatherPayload(net, lists, ring.Int64{})
 	rebuilt := graphs.NewGraph(n, false)
 	for v := 0; v < n; v++ {
-		for _, w := range all[v] {
-			rebuilt.AddEdge(v, int(w))
+		for _, u := range all[v] {
+			rebuilt.AddEdge(v, int(u))
 		}
 	}
 	girth, ok := graphs.GirthRef(rebuilt)

@@ -65,6 +65,9 @@ func (m *CSR[T]) Validate() error {
 		if hi < lo {
 			return fmt.Errorf("matrix: CSR row %d has negative extent [%d, %d)", v, lo, hi)
 		}
+		if hi > int64(len(m.Col)) {
+			return fmt.Errorf("matrix: CSR row %d ends at %d past the %d stored columns", v, hi, len(m.Col))
+		}
 		prev := int32(-1)
 		for _, c := range m.Col[lo:hi] {
 			if c < 0 || int(c) >= n {

@@ -7,12 +7,12 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
-// This file is the routing layer's direct (data-plane) side: the same
-// deterministic schedules as Exchange and AllGather, with the words
-// charged analytically from a LinkLens and the actual data moved as typed
-// payloads by reference (or not at all, when the receiver can read the
-// sender's structure directly). Every function here reproduces its encoded
-// counterpart's ledger — rounds, words, flushes, strategy choice — exactly.
+// This file is the routing layer's analytic charging: the ledgers of the
+// deterministic Exchange and AllGather schedules, computed from a traffic
+// shape instead of materialised words. The typed primitives (typed.go)
+// charge the direct plane through it, and every function here reproduces
+// its encoded counterpart's ledger — rounds, words, flushes, strategy
+// choice — exactly.
 
 // TwoPhaseCosts reduces the two-phase schedule for the given traffic to
 // its four charged aggregates: the non-self per-link load maximum and word
@@ -194,88 +194,4 @@ func ChargeAllGather(net *clique.Network, lens []int64) {
 		}
 	}
 	net.ChargeBroadcast(held)
-}
-
-// ExchangePayload is Exchange on the data plane: pays[src][dst] is the
-// typed per-pair message and words(k) the analytic wire length of a
-// k-element message (the codec's EncodedLen summed over the message's
-// chunks — callers with multi-chunk messages fold the chunk structure into
-// the closure). The strategy choice, rounds, words, and flushes match
-// Exchange on the encoded equivalent exactly; the payloads move by
-// reference through the simulator's Mail, so the delivered slices alias
-// the senders' buffers and are valid until the caller rebuilds them.
-//
-// in must be an n×n receive matrix; entries for addressed pairs are
-// overwritten and all others left untouched (stale), the same contract
-// ExchangeScratch gives oblivious protocols. It is returned for
-// convenience.
-//
-//cc:hotpath
-func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch, pays [][][]T, words func(elems int) int64, in [][][]T) [][][]T {
-	n := net.N()
-	if len(pays) != n || len(in) != n {
-		panic(fmt.Sprintf("routing: ExchangePayload wants %d×%d matrices, got %d and %d rows", n, n, len(pays), len(in)))
-	}
-	// Materialise the analytic lens once; every subsequent pass — strategy
-	// estimation, schedule loads, send charging — reads the flat array.
-	var lensBuf []int64
-	if sc != nil {
-		lensBuf = sc.payLens(n * n)
-	} else {
-		lensBuf = make([]int64, n*n) //cc:hotalloc-ok(nil-scratch transient fallback)
-	}
-	for src := 0; src < n; src++ {
-		row := pays[src]
-		base := src * n
-		for dst := range row {
-			if l := len(row[dst]); l > 0 {
-				lensBuf[base+dst] = words(l)
-			}
-		}
-	}
-	twoPhase := strategy == TwoPhase
-	var maxA, totalA, maxB, totalB int64
-	if strategy != Direct {
-		// Resolve Auto with the same comparison the encoded Exchange uses —
-		// the direct round cost is the maximum non-self lens, the two-phase
-		// cost the sum of the two schedule maxima — reusing the (memoised)
-		// schedule aggregates for the charge itself.
-		var direct int64
-		maxA, totalA, maxB, totalB, direct = PlanCosts(n, sc, lensBuf)
-		if strategy == Auto {
-			twoPhase = maxA+maxB < direct
-		}
-	}
-	var mail *clique.Mail
-	if twoPhase {
-		net.FlushAnalytic(maxA, totalA)
-		for src := 0; src < n; src++ {
-			row := pays[src]
-			for dst := range row {
-				if len(row[dst]) > 0 {
-					net.SendPayload(src, dst, 0, &row[dst])
-				}
-			}
-		}
-		mail = net.FlushAnalytic(maxB, totalB)
-	} else {
-		for src := 0; src < n; src++ {
-			row := pays[src]
-			base := src * n
-			for dst := range row {
-				if len(row[dst]) > 0 {
-					net.SendPayload(src, dst, lensBuf[base+dst], &row[dst])
-				}
-			}
-		}
-		mail = net.Flush()
-	}
-	for src := 0; src < n; src++ {
-		for dst := range pays[src] {
-			if len(pays[src][dst]) > 0 {
-				in[dst][src] = *(mail.PayloadsFrom(dst, src)[0].(*[]T))
-			}
-		}
-	}
-	return in
 }

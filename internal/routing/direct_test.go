@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
 // randPattern builds a random traffic pattern: some pairs idle, some small,
@@ -64,7 +65,7 @@ func TestExchangePayloadMatchesExchange(t *testing.T) {
 			for i := range in {
 				in[i] = make([][]int64, n)
 			}
-			ExchangePayload(dnet, Auto, NewScratch(), pays, func(el int) int64 { return int64(el) }, in)
+			ExchangePayload(dnet, Auto, NewScratch(), pays, ring.Int64{}, in)
 
 			ws, ds := wnet.Stats(), dnet.Stats()
 			if !reflect.DeepEqual(ws, ds) {

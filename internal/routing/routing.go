@@ -129,9 +129,11 @@ func ExchangeScratch(net *clique.Network, strategy Strategy, sc *Scratch, msgs [
 // follows the same two-call recycling lifetime as ExchangeScratch. A nil
 // sc allocates a fresh (nil-entry) matrix per call.
 //
-// The sparse matmul engine's gather is the motivating caller: which nodes
-// send partial products to which row owners depends on the operands'
-// nonzero structure, so its receivers scan every source.
+// It serves word-level protocols whose receivers scan every source. The
+// typed primitives (typed.go) do not need it: they fill exactly the
+// receive entries their senders addressed, so a nil-cleared receive
+// matrix already reads idle pairs as empty — which is how the sparse
+// matmul engine's data-dependent gather runs on both planes.
 func ExchangeDynamic(net *clique.Network, strategy Strategy, sc *Scratch, msgs [][][]clique.Word) [][][]clique.Word {
 	n := net.N()
 	validateShape(n, msgs)

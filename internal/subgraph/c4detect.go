@@ -6,6 +6,7 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/graphs"
+	"github.com/algebraic-clique/algclique/internal/ring"
 	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
@@ -187,32 +188,22 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 }
 
 // detectC4Small handles cliques below the Lemma 12 packing threshold by
-// learning the whole (constant-size) graph: still O(1) rounds. On the
-// direct transport the gather is charged analytically and the reference
-// check runs on the shared graph in place.
+// learning the whole (constant-size) graph: still O(1) rounds.
 func detectC4Small(net *clique.Network, g *graphs.Graph) (bool, error) {
 	net.Phase("c4detect/small")
 	n := net.N()
-	if net.Transport() != clique.TransportWire {
-		lens := make([]int64, n)
-		for v := 0; v < n; v++ {
-			lens[v] = int64(len(g.Neighbors(v)))
-		}
-		routing.ChargeAllGather(net, lens)
-		return graphs.HasC4Ref(g), nil
-	}
-	vecs := make([][]clique.Word, n)
+	lists := make([][]int64, n)
 	for v := 0; v < n; v++ {
 		for _, u := range g.Neighbors(v) {
-			vecs[v] = append(vecs[v], clique.Word(u))
+			lists[v] = append(lists[v], int64(u))
 		}
 	}
-	all := routing.AllGather(net, vecs)
+	all := routing.AllGatherPayload(net, lists, ring.Int64{})
 	rebuilt := graphs.NewGraph(n, false)
 	for v := 0; v < n; v++ {
-		for _, w := range all[v] {
-			if int(w) != v && !rebuilt.HasEdge(v, int(w)) {
-				rebuilt.AddEdge(v, int(w))
+		for _, u := range all[v] {
+			if int(u) != v && !rebuilt.HasEdge(v, int(u)) {
+				rebuilt.AddEdge(v, int(u))
 			}
 		}
 	}

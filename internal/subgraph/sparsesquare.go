@@ -57,7 +57,7 @@ func SparseSquareScratch(net *clique.Network, sc *ccmm.Scratch, g *graphs.Graph)
 	}
 	r := ring.Int64{}
 	a := adjacencyRows(g)
-	sq, err := ccmm.SparseMulScratch[int64](net, sc, r, r, a, a)
+	sq, err := ccmm.SparseMul[int64](net, sc, r, r, a, a)
 	if err != nil {
 		if errors.Is(err, ccmm.ErrTooDense) {
 			return nil, fmt.Errorf("%w (%v)", ErrTooDense, err)
